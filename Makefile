@@ -23,7 +23,8 @@ check: build
 	$(GO) test -race -run 'TestAlertFiresUnderOverload' ./internal/collector/
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -run 'TestBatchIngestAllocBudget' -count 1 ./internal/collector/
-	$(GO) test -run '^$$' -bench 'Benchmark(ConstellationVisibility|ConstellationVisibilityBrute|VisibleFromPruned|ServingSelection|Table1|ClusterIngest1|ClusterIngest3|E2EIngestCSV|E2EIngestBatch)$$' -benchtime 1x -short .
+	$(GO) test -run 'TestIperfUDPAllocBudget' -bench 'BenchmarkIperfUDP$$' -benchtime 1x -count 1 ./internal/measure/
+	$(GO) test -run '^$$' -bench 'Benchmark(ConstellationVisibility|ConstellationVisibilityBrute|VisibleFromPruned|ServingSelection|Table1|ClusterIngest1|ClusterIngest3|E2EIngestCSV|E2EIngestBatch|NetsimEvents|CCFlow)$$' -benchtime 1x -short .
 	$(GO) run ./cmd/campaign -smoke
 	$(MAKE) fuzz
 

@@ -710,6 +710,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // BenchmarkNetsimEvents measures raw event-loop throughput.
 func BenchmarkNetsimEvents(b *testing.B) {
 	sim := netsim.NewSim(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Schedule(time.Microsecond, func() {})
@@ -813,6 +814,7 @@ func BenchmarkServingSelection(b *testing.B) {
 
 // BenchmarkCCFlow measures one second of simulated bulk TCP per iteration.
 func BenchmarkCCFlow(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sim := netsim.NewSim(7)
 		client := netsim.NewNode("c", "")

@@ -61,62 +61,57 @@ func (st FlowStats) GoodputBps() float64 {
 	return float64(st.DeliveredBytes*8) / st.Duration.Seconds()
 }
 
-// byteRange is a half-open byte interval [Start, End).
-type byteRange struct{ start, end int64 }
-
-func (r byteRange) len() int64 { return r.end - r.start }
-
-// rangeSet is a sorted list of disjoint byte ranges with merge-on-insert.
-// The receiver uses one for out-of-order data; the sender uses one as its
-// retransmission scoreboard.
+// rangeSet is a sorted list of disjoint half-open byte ranges with
+// merge-on-insert. The receiver uses one for out-of-order data; the sender
+// uses one as its retransmission scoreboard.
 type rangeSet struct {
-	rs []byteRange
+	rs []netsim.SackBlock
 }
 
-// add inserts [start, end), merging overlapping or adjacent ranges.
+// add inserts [start, end), merging overlapping or adjacent ranges. It never
+// writes into the existing backing array, so a slice of s.rs handed out
+// earlier (an ack's SACK blocks) stays valid.
 func (s *rangeSet) add(start, end int64) {
 	if end <= start {
 		return
 	}
-	// A fresh slice is required: inserting can grow the output past the
-	// read position, so writing into s.rs's backing array would corrupt the
-	// ranges still being iterated.
-	out := make([]byteRange, 0, len(s.rs)+1)
+	out := make([]netsim.SackBlock, 0, len(s.rs)+1)
 	placed := false
 	for _, r := range s.rs {
 		switch {
-		case r.end < start: // strictly before, not adjacent
+		case r.End < start: // strictly before, not adjacent
 			out = append(out, r)
-		case r.start > end: // strictly after, not adjacent
+		case r.Start > end: // strictly after, not adjacent
 			if !placed {
-				out = append(out, byteRange{start, end})
+				out = append(out, netsim.SackBlock{Start: start, End: end})
 				placed = true
 			}
 			out = append(out, r)
 		default: // overlaps or touches: absorb
-			if r.start < start {
-				start = r.start
+			if r.Start < start {
+				start = r.Start
 			}
-			if r.end > end {
-				end = r.end
+			if r.End > end {
+				end = r.End
 			}
 		}
 	}
 	if !placed {
-		out = append(out, byteRange{start, end})
+		out = append(out, netsim.SackBlock{Start: start, End: end})
 	}
 	s.rs = out
 }
 
-// trimBelow removes all bytes below the watermark.
+// trimBelow removes all bytes below the watermark. It rewrites s.rs in
+// place, so it is only for sets whose slices are never handed out.
 func (s *rangeSet) trimBelow(mark int64) {
 	out := s.rs[:0]
 	for _, r := range s.rs {
-		if r.end <= mark {
+		if r.End <= mark {
 			continue
 		}
-		if r.start < mark {
-			r.start = mark
+		if r.Start < mark {
+			r.Start = mark
 		}
 		out = append(out, r)
 	}
@@ -126,7 +121,7 @@ func (s *rangeSet) trimBelow(mark int64) {
 // covers reports whether the byte at off is inside the set.
 func (s *rangeSet) covers(off int64) bool {
 	for _, r := range s.rs {
-		if off >= r.start && off < r.end {
+		if off >= r.Start && off < r.End {
 			return true
 		}
 	}
@@ -137,7 +132,7 @@ func (s *rangeSet) covers(off int64) bool {
 func (s *rangeSet) total() int64 {
 	var n int64
 	for _, r := range s.rs {
-		n += r.len()
+		n += r.End - r.Start
 	}
 	return n
 }
@@ -184,9 +179,9 @@ type Flow struct {
 	// Pacing.
 	nextSendAt    time.Duration
 	sendScheduled bool
+	sendFn        func() // the scheduled trySend, built once
 
-	// RTO timer epoch: incremented to invalidate stale timers.
-	rtoEpoch uint64
+	rtoTimer *netsim.Timer
 
 	// Receiver state.
 	rcvNext int64    // next expected byte
@@ -231,6 +226,11 @@ func NewFlow(sim *netsim.Sim, path *netsim.Path, cfg FlowConfig) (*Flow, error) 
 		id:   flowIDs.Add(1),
 	}
 	f.algo.Init(f.mss)
+	f.sendFn = func() {
+		f.sendScheduled = false
+		f.trySend()
+	}
+	f.rtoTimer = sim.NewTimer(f.onTimeout)
 	f.snd, f.rcv = path.Client(), path.Server()
 	if cfg.Reverse {
 		f.snd, f.rcv = f.rcv, f.snd
@@ -250,7 +250,7 @@ func (f *Flow) Start() {
 // Stop halts the sender; in-flight packets still drain.
 func (f *Flow) Stop() {
 	f.stopped = true
-	f.rtoEpoch++ // cancel pending timers
+	f.rtoTimer.Stop()
 }
 
 // Stats returns a snapshot of the flow's statistics.
@@ -307,15 +307,7 @@ func (f *Flow) rto() time.Duration {
 }
 
 // armRTO (re)arms the retransmission timer.
-func (f *Flow) armRTO() {
-	f.rtoEpoch++
-	epoch := f.rtoEpoch
-	f.sim.Schedule(f.rto(), func() {
-		if epoch == f.rtoEpoch && !f.stopped {
-			f.onTimeout()
-		}
-	})
-}
+func (f *Flow) armRTO() { f.rtoTimer.Arm(f.rto()) }
 
 // trySend transmits retransmissions and new data as the window and pacing
 // rate allow. Retransmissions take priority and are paced like everything
@@ -391,18 +383,18 @@ func (f *Flow) nextHole() (start, end int64, ok bool) {
 	sr, rr := f.sacked.rs, f.retransmitted.rs
 	for off < to {
 		covered := false
-		for i < len(sr) && sr[i].end <= off {
+		for i < len(sr) && sr[i].End <= off {
 			i++
 		}
-		if i < len(sr) && sr[i].start <= off {
-			off = sr[i].end
+		if i < len(sr) && sr[i].Start <= off {
+			off = sr[i].End
 			covered = true
 		}
-		for j < len(rr) && rr[j].end <= off {
+		for j < len(rr) && rr[j].End <= off {
 			j++
 		}
-		if j < len(rr) && rr[j].start <= off {
-			off = rr[j].end
+		if j < len(rr) && rr[j].Start <= off {
+			off = rr[j].End
 			covered = true
 		}
 		if covered {
@@ -412,11 +404,11 @@ func (f *Flow) nextHole() (start, end int64, ok bool) {
 		if end > to {
 			end = to
 		}
-		if i < len(sr) && sr[i].start < end {
-			end = sr[i].start
+		if i < len(sr) && sr[i].Start < end {
+			end = sr[i].Start
 		}
-		if j < len(rr) && rr[j].start < end {
-			end = rr[j].start
+		if j < len(rr) && rr[j].Start < end {
+			end = rr[j].Start
 		}
 		return off, end, true
 	}
@@ -437,10 +429,7 @@ func (f *Flow) segmentSize() int {
 
 func (f *Flow) scheduleSend(d time.Duration) {
 	f.sendScheduled = true
-	f.sim.Schedule(d, func() {
-		f.sendScheduled = false
-		f.trySend()
-	})
+	f.sim.Schedule(d, f.sendFn)
 }
 
 // sendSegment emits one data segment.
@@ -475,21 +464,23 @@ func (f *Flow) handleData(s *netsim.Sim, p *netsim.Packet) {
 	}
 	payload := p.Size - headerBytes
 	end := p.Seq + int64(payload)
-	if end > f.rcvNext {
-		f.rcvOOO.add(maxInt64(p.Seq, f.rcvNext), end)
+	if p.Seq > f.rcvNext {
+		f.rcvOOO.add(p.Seq, end)
+	} else if end > f.rcvNext {
+		// In order: every held range starts above rcvNext, so advancing
+		// it directly equals adding [rcvNext, end) and consuming the
+		// merged prefix below, without the add's allocation.
+		f.rcvNext = end
 	}
-	// Advance over any now-contiguous prefix.
-	for len(f.rcvOOO.rs) > 0 && f.rcvOOO.rs[0].start <= f.rcvNext {
-		if f.rcvOOO.rs[0].end > f.rcvNext {
-			f.rcvNext = f.rcvOOO.rs[0].end
+	// Advance over any now-contiguous prefix. Reslicing never writes, so
+	// the SACK blocks of acks already sent stay intact.
+	for len(f.rcvOOO.rs) > 0 && f.rcvOOO.rs[0].Start <= f.rcvNext {
+		if f.rcvOOO.rs[0].End > f.rcvNext {
+			f.rcvNext = f.rcvOOO.rs[0].End
 		}
 		f.rcvOOO.rs = f.rcvOOO.rs[1:]
 	}
 
-	var sack []netsim.SackBlock
-	for _, r := range f.rcvOOO.rs {
-		sack = append(sack, netsim.SackBlock{Start: r.start, End: r.end})
-	}
 	ack := &netsim.Packet{
 		ID:          s.NextPacketID(),
 		Flow:        f.id,
@@ -501,7 +492,7 @@ func (f *Flow) handleData(s *netsim.Sim, p *netsim.Packet) {
 		TTL:         64,
 		IsAck:       true,
 		Ack:         f.rcvNext,
-		Sack:        sack,
+		Sack:        f.rcvOOO.rs, // shared: rcvOOO only ever adds or reslices
 		Seq:         p.Seq,
 		SentAt:      p.SentAt, // timestamp echo
 		Delivered:   p.Delivered,
@@ -529,10 +520,9 @@ func (f *Flow) handleAck(s *netsim.Sim, p *netsim.Packet) {
 	// receiver reports sorted, disjoint blocks, so they can be installed
 	// directly — re-merging them per ack would be quadratic in the number
 	// of holes, which BBR's large inflight makes pathological.
-	f.sacked.rs = f.sacked.rs[:0]
+	f.sacked.rs = append(f.sacked.rs[:0], p.Sack...)
 	f.highestSacked = f.una
 	for _, b := range p.Sack {
-		f.sacked.rs = append(f.sacked.rs, byteRange{b.Start, b.End})
 		if b.End > f.highestSacked {
 			f.highestSacked = b.End
 		}
@@ -588,7 +578,7 @@ func (f *Flow) handleAck(s *netsim.Sim, p *netsim.Packet) {
 
 		if f.cfg.LimitBytes > 0 && f.una >= f.cfg.LimitBytes {
 			f.stopped = true
-			f.rtoEpoch++
+			f.rtoTimer.Stop()
 			if f.OnDone != nil {
 				f.OnDone()
 			}
@@ -669,11 +659,4 @@ func (f *Flow) updateRTT(rtt time.Duration) {
 		f.srtt = (7*f.srtt + rtt) / 8
 	}
 	f.stats.SRTT = f.srtt
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"starlinkview/internal/netsim"
 )
 
 // refSet is a brute-force reference model of rangeSet: a boolean per byte.
@@ -59,11 +61,11 @@ func TestRangeSetMatchesReference(t *testing.T) {
 			}
 			// Structural invariants: sorted, disjoint, non-empty ranges.
 			for i, r := range rs.rs {
-				if r.end <= r.start {
+				if r.End <= r.Start {
 					t.Logf("empty range %+v", r)
 					return false
 				}
-				if i > 0 && rs.rs[i-1].end > r.start {
+				if i > 0 && rs.rs[i-1].End > r.Start {
 					t.Logf("overlapping/touching ranges %+v %+v", rs.rs[i-1], r)
 					return false
 				}
@@ -84,11 +86,11 @@ func TestRangeSetAddMerges(t *testing.T) {
 		t.Fatalf("ranges = %d, want 2", len(s.rs))
 	}
 	s.add(20, 30) // exactly bridges the gap
-	if len(s.rs) != 1 || s.rs[0] != (byteRange{10, 40}) {
+	if len(s.rs) != 1 || s.rs[0] != (netsim.SackBlock{Start: 10, End: 40}) {
 		t.Fatalf("merge failed: %+v", s.rs)
 	}
 	s.add(5, 45) // superset absorbs
-	if len(s.rs) != 1 || s.rs[0] != (byteRange{5, 45}) {
+	if len(s.rs) != 1 || s.rs[0] != (netsim.SackBlock{Start: 5, End: 45}) {
 		t.Fatalf("superset failed: %+v", s.rs)
 	}
 }
@@ -117,5 +119,26 @@ func TestRangeSetTrimPartial(t *testing.T) {
 	s.trimBelow(100)
 	if s.total() != 0 {
 		t.Fatal("full trim failed")
+	}
+}
+
+// TestRangeSetAddKeepsHandedOutSlices: acks carry the receiver's ranges
+// without a copy, so add must never write into a backing array an earlier
+// slice of the set still points at.
+func TestRangeSetAddKeepsHandedOutSlices(t *testing.T) {
+	var s rangeSet
+	s.add(10, 20)
+	s.add(40, 50)
+	s.add(70, 80)
+	sent := s.rs[1:] // what an ack carries after the prefix is consumed
+	want := append([]netsim.SackBlock(nil), sent...)
+	s.rs = sent
+	s.add(55, 60)
+	s.add(45, 72)
+	s.add(0, 5)
+	for i := range want {
+		if sent[i] != want[i] {
+			t.Fatalf("handed-out blocks changed: %+v, want %+v", sent, want)
+		}
 	}
 }

@@ -395,16 +395,13 @@ func (s *Study) Figure7() (Fig7Result, error) {
 			received[sec]++
 		}
 	}))
-	for i := 0; i < seconds*pps; i++ {
-		at := time.Duration(i) * (time.Second / pps)
-		sim.Schedule(at, func() {
-			path.Client().Handle(sim, &netsim.Packet{
-				ID: sim.NextPacketID(), Size: 1250, TTL: 64,
-				Src: path.Client().Name, Dst: path.Server().Name, DstPort: port,
-				SentAt: sim.Now(),
-			})
+	sim.ScheduleSeries(seconds*pps, time.Second/pps, func() {
+		path.Client().Handle(sim, &netsim.Packet{
+			ID: sim.NextPacketID(), Size: 1250, TTL: 64,
+			Src: path.Client().Name, Dst: path.Server().Name, DstPort: port,
+			SentAt: sim.Now(),
 		})
-	}
+	})
 
 	res := Fig7Result{
 		LossPct:    make([]float64, seconds),

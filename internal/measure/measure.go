@@ -452,16 +452,13 @@ func IperfUDP(sim *netsim.Sim, path *netsim.Path, rateBps float64, duration time
 	gap := time.Duration(float64(pktSize*8) / rateBps * float64(time.Second))
 	n := int(duration / gap)
 	start := sim.Now()
-	for i := 0; i < n; i++ {
-		i := i
-		sim.Schedule(time.Duration(i)*gap, func() {
-			snd.Handle(sim, &netsim.Packet{
-				ID: sim.NextPacketID(), Size: pktSize, TTL: 64,
-				Src: snd.Name, Dst: rcv.Name, DstPort: port,
-				SentAt: sim.Now(),
-			})
+	sim.ScheduleSeries(n, gap, func() {
+		snd.Handle(sim, &netsim.Packet{
+			ID: sim.NextPacketID(), Size: pktSize, TTL: 64,
+			Src: snd.Name, Dst: rcv.Name, DstPort: port,
+			SentAt: sim.Now(),
 		})
-	}
+	})
 	sim.RunUntil(start + duration + 2*time.Second)
 
 	res := IperfResult{

@@ -307,3 +307,63 @@ func TestRTTUnderLoad(t *testing.T) {
 		t.Error("want error for unknown algorithm")
 	}
 }
+
+// udpBottleneckPath is Fig. 8's UDP baseline shape: a fast first hop
+// feeding a 100 Mb/s drop-tail bottleneck.
+func udpBottleneckPath(t testing.TB) *netsim.Path {
+	t.Helper()
+	nodes := []*netsim.Node{
+		netsim.NewNode("client", ""),
+		netsim.NewNode("router", ""),
+		netsim.NewNode("server", ""),
+	}
+	specs := []netsim.LinkSpec{
+		{RateBps: 10e9, Delay: time.Millisecond},
+		{RateBps: 100e6, Delay: 10 * time.Millisecond, QueueByte: 250_000},
+	}
+	p, err := netsim.NewPath(nodes, specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestIperfUDPAllocBudget pins the UDP source's allocation cost: a 2 Gb/s
+// source into a 100 Mb/s bottleneck for one simulated second (200k sends)
+// may allocate at most 1.1 times per sent packet: the packet itself, and
+// nothing per packet from the series-scheduled source or the per-link
+// in-flight rings. Run without the race detector; `make check` runs it
+// explicitly.
+func TestIperfUDPAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("alloc measurement loop is not short")
+	}
+	var sent int
+	run := func() {
+		res, err := IperfUDP(netsim.NewSim(7), udpBottleneckPath(t), 2e9, time.Second, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = res.SentPackets
+	}
+	perRun := testing.AllocsPerRun(2, run)
+	perPacket := perRun / float64(sent)
+	t.Logf("%.0f allocs per run, %d sent, %.4f allocs/packet", perRun, sent, perPacket)
+	if perPacket > 1.1 {
+		t.Fatalf("IperfUDP allocates %.4f per sent packet; budget is 1.1", perPacket)
+	}
+}
+
+// BenchmarkIperfUDP measures the same shape per simulated second: 200k sends,
+// most of them dropped at the bottleneck queue.
+func BenchmarkIperfUDP(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := IperfUDP(netsim.NewSim(7), udpBottleneckPath(b), 2e9, time.Second, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -14,7 +14,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -25,41 +24,55 @@ import (
 // Time is simulated time since the start of the run.
 type Time = time.Duration
 
-// event is one scheduled callback.
+// Ordering contract: every callback runs in the total order of its key
+// (at, seq), where seq is taken from one per-Sim counter at the moment the
+// callback is scheduled. Schedule, Link.Send, ScheduleSeries and Timer.Arm
+// all reserve their seqs at call time, exactly as one Schedule per callback
+// would, so the order never depends on how lazily a source queues its
+// callbacks. That is what lets the queue stay O(links + flows) deep:
+//
+//   - a Link is FIFO, so only the head of its in-flight ring is queued;
+//   - a series queues only its next call;
+//   - a Timer queues one carrier, which re-queues itself under the live
+//     deadline's key when it pops early.
+
+// event is one queued entry, stored by value in the heap.
 type event struct {
 	at  Time
-	seq uint64 // tie-breaker preserving schedule order
-	fn  func()
+	seq uint64
+	src source
 }
 
-type eventHeap []*event
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// source is what an event runs when it pops; at and seq are the key it was
+// queued under.
+type source interface {
+	fire(s *Sim, at Time, seq uint64)
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
+
+// callback is a plain scheduled function. A func value is pointer-shaped,
+// so boxing it in the source interface does not allocate.
+type callback func()
+
+func (c callback) fire(*Sim, Time, uint64) { c() }
 
 // Sim is a discrete-event simulation run.
 type Sim struct {
 	now     Time
 	seq     uint64
-	pq      eventHeap
+	pq      []event // 4-ary min-heap on (at, seq)
 	rng     *rand.Rand
 	pktID   uint64
 	stopped bool
+
+	// behind counts callbacks reserved but not yet queued: packets behind
+	// each link's queued head and series calls after the queued one.
+	behind int
+	// orphans counts queued timer carriers that will not run a callback.
+	orphans int
 }
 
 // NewSim creates a simulation with a deterministic random source.
@@ -80,6 +93,16 @@ func (s *Sim) NextPacketID() uint64 {
 	return s.pktID
 }
 
+// reserve returns the key a callback scheduled at the given time gets.
+// Times in the past are clamped to the current time.
+func (s *Sim) reserve(at Time) (Time, uint64) {
+	if at < s.now {
+		at = s.now
+	}
+	s.seq++
+	return at, s.seq
+}
+
 // Schedule runs fn after delay of simulated time. A negative delay is
 // treated as zero.
 func (s *Sim) Schedule(delay Time, fn func()) {
@@ -92,11 +115,178 @@ func (s *Sim) Schedule(delay Time, fn func()) {
 // ScheduleAt runs fn at the given absolute simulated time. Times in the past
 // fire immediately (at the current time).
 func (s *Sim) ScheduleAt(at Time, fn func()) {
-	if at < s.now {
-		at = s.now
+	at, seq := s.reserve(at)
+	s.push(event{at: at, seq: seq, src: callback(fn)})
+}
+
+// ScheduleSeries runs fn n times, gap apart, the first call after no delay.
+// It runs in exactly the order of n Schedule(i*gap, fn) calls made in a
+// loop, but keeps only the next call queued. A negative gap is treated as
+// zero.
+func (s *Sim) ScheduleSeries(n int, gap Time, fn func()) {
+	if n <= 0 {
+		return
 	}
-	s.seq++
-	heap.Push(&s.pq, &event{at: at, seq: s.seq, fn: fn})
+	if gap < 0 {
+		gap = 0
+	}
+	at, seq := s.reserve(s.now)
+	s.seq += uint64(n - 1)
+	s.behind += n - 1
+	s.push(event{at: at, seq: seq, src: &series{fn: fn, left: n - 1, gap: gap}})
+}
+
+// series is a ScheduleSeries in progress.
+type series struct {
+	fn   func()
+	left int // calls still to come after the queued one
+	gap  Time
+}
+
+func (r *series) fire(s *Sim, at Time, seq uint64) {
+	if r.left > 0 {
+		r.left--
+		s.behind--
+		s.push(event{at: at + r.gap, seq: seq + 1, src: r})
+	}
+	r.fn()
+}
+
+// Timer is a re-armable one-shot callback: Arm replaces the pending
+// deadline and Stop cancels it. Re-arming to a later deadline reuses the
+// queued carrier event, which re-queues itself under the live key when it
+// pops early, so a timer re-armed on every ack keeps one event queued.
+// Re-arming to an earlier deadline, or Stop, orphans the carrier; an orphan
+// pops as a no-op.
+type Timer struct {
+	sim   *Sim
+	fn    func()
+	armed bool
+	at    Time // live deadline
+	seq   uint64
+	// queued reports that the timer's carrier is in the queue under key
+	// (cAt, cSeq). A carrier the timer no longer owns (one superseded by an
+	// earlier deadline) pops as a no-op.
+	queued bool
+	cAt    Time
+	cSeq   uint64
+}
+
+// NewTimer returns a stopped timer that runs fn on s when it expires.
+func (s *Sim) NewTimer(fn func()) *Timer { return &Timer{sim: s, fn: fn} }
+
+// Arm (re)starts the timer to expire after d (negative means zero). It
+// reserves a fresh seq exactly as Schedule(d, fn) would, so the expiry runs
+// in the same order as that Schedule call's event.
+func (t *Timer) Arm(d Time) {
+	s := t.sim
+	if d < 0 {
+		d = 0
+	}
+	if t.queued && !t.armed {
+		s.orphans-- // a stopped timer's carrier may be reused below
+	}
+	t.armed = true
+	t.at, t.seq = s.reserve(s.now + d)
+	if t.queued && t.cAt <= t.at {
+		// The carrier pops first (at an earlier instant, or at the same
+		// one with an older seq) and re-queues itself under the new key.
+		return
+	}
+	if t.queued {
+		s.orphans++ // queued past the new deadline: superseded
+	}
+	t.queued, t.cAt, t.cSeq = true, t.at, t.seq
+	s.push(event{at: t.at, seq: t.seq, src: t})
+}
+
+// Stop cancels the pending expiry, if any.
+func (t *Timer) Stop() {
+	if t.armed && t.queued {
+		t.sim.orphans++
+	}
+	t.armed = false
+}
+
+func (t *Timer) fire(s *Sim, _ Time, seq uint64) {
+	if !t.queued || seq != t.cSeq {
+		s.orphans-- // a superseded carrier
+		return
+	}
+	if !t.armed {
+		t.queued = false
+		s.orphans-- // the carrier of a stopped timer
+		return
+	}
+	if seq != t.seq {
+		// Popped ahead of a later re-arm: wait under the live key.
+		t.cAt, t.cSeq = t.at, t.seq
+		s.push(event{at: t.at, seq: t.seq, src: t})
+		return
+	}
+	t.queued, t.armed = false, false
+	t.fn()
+}
+
+// push inserts e into the 4-ary heap.
+func (s *Sim) push(e event) {
+	s.pq = append(s.pq, e)
+	h := s.pq
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+}
+
+// pop removes and returns the earliest event.
+func (s *Sim) pop() event {
+	h := s.pq
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the reference for the GC
+	h = h[:n]
+	s.pq = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for k := c + 1; k < end; k++ {
+			if h[k].before(&h[m]) {
+				m = k
+			}
+		}
+		if !h[m].before(&last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = last
+	return top
+}
+
+// step pops the earliest event and runs it.
+func (s *Sim) step() {
+	e := s.pop()
+	s.now = e.at
+	e.src.fire(s, e.at, e.seq)
 }
 
 // Stop makes Run and RunUntil return after the current event completes.
@@ -105,9 +295,7 @@ func (s *Sim) Stop() { s.stopped = true }
 // Run processes events until the queue is empty or Stop is called.
 func (s *Sim) Run() {
 	for len(s.pq) > 0 && !s.stopped {
-		e := heap.Pop(&s.pq).(*event)
-		s.now = e.at
-		e.fn()
+		s.step()
 	}
 }
 
@@ -115,17 +303,17 @@ func (s *Sim) Run() {
 // clock to t.
 func (s *Sim) RunUntil(t Time) {
 	for len(s.pq) > 0 && !s.stopped && s.pq[0].at <= t {
-		e := heap.Pop(&s.pq).(*event)
-		s.now = e.at
-		e.fn()
+		s.step()
 	}
 	if !s.stopped && s.now < t {
 		s.now = t
 	}
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.pq) }
+// Pending returns the number of callbacks still to run: queued events, plus
+// packets behind each link's queued head and the rest of every series,
+// minus timer carriers that will not run a callback.
+func (s *Sim) Pending() int { return len(s.pq) + s.behind - s.orphans }
 
 // ICMPType marks control packets generated inside the network.
 type ICMPType int
@@ -204,7 +392,9 @@ type LinkStats struct {
 
 // Link is a unidirectional store-and-forward link with an implicit drop-tail
 // queue: the backlog is tracked as the time the transmitter remains busy, so
-// queueing delay and occupancy need no explicit queue structure.
+// queueing delay and occupancy need no explicit queue structure. A link
+// belongs to one Sim at a time: packets in flight are delivered only through
+// the Sim whose Send queued them.
 type Link struct {
 	Name      string
 	RateBps   float64 // transmission rate in bits/s; 0 means infinitely fast
@@ -235,6 +425,47 @@ type Link struct {
 	busyUntil   Time
 	lastArrival Time
 	stats       LinkStats
+
+	// fifo is the ring of packets in flight, in arrival order; only its
+	// head has an event queued on the Sim.
+	fifo  []inflight
+	head  int
+	count int
+}
+
+// inflight is one packet on the wire with the event key its delivery
+// reserved in Send.
+type inflight struct {
+	at  Time
+	seq uint64
+	pkt *Packet
+}
+
+// enqueue appends to the in-flight ring, doubling it when full.
+func (l *Link) enqueue(f inflight) {
+	if l.count == len(l.fifo) {
+		grown := make([]inflight, max(8, 2*len(l.fifo)))
+		n := copy(grown, l.fifo[l.head:])
+		copy(grown[n:], l.fifo[:l.head])
+		l.fifo, l.head = grown, 0
+	}
+	l.fifo[(l.head+l.count)&(len(l.fifo)-1)] = f
+	l.count++
+}
+
+// fire delivers the head packet and queues the next one's event. Delivery
+// goes through the Sim that popped the event.
+func (l *Link) fire(s *Sim, _ Time, _ uint64) {
+	p := l.fifo[l.head].pkt
+	l.fifo[l.head].pkt = nil
+	l.head = (l.head + 1) & (len(l.fifo) - 1)
+	l.count--
+	if l.count > 0 {
+		next := &l.fifo[l.head]
+		s.behind--
+		s.push(event{at: next.at, seq: next.seq, src: l})
+	}
+	l.Dst.Handle(s, p)
 }
 
 // traceDrop records a packet drop on the link's trace span, if any.
@@ -275,7 +506,7 @@ func (l *Link) rate(now Time) float64 {
 
 // Send transmits the packet over the link, applying loss, the drop-tail
 // queue, serialisation delay, and propagation delay. Delivery is scheduled
-// on the simulator.
+// on the simulator in the order a Schedule call made here would get.
 func (l *Link) Send(s *Sim, p *Packet) {
 	if l.Dst == nil {
 		panic(fmt.Sprintf("netsim: link %q has no destination", l.Name))
@@ -333,7 +564,15 @@ func (l *Link) Send(s *Sim, p *Packet) {
 	l.stats.SentPackets++
 	l.stats.SentBytes += int64(p.Size)
 	l.Metrics.sent(p.Size, depart-now)
-	s.ScheduleAt(arrive, func() { l.Dst.Handle(s, p) })
+	// Arrivals never decrease, so delivery keys do not either: reserve this
+	// packet's key now and queue an event only when it is the ring's head.
+	at, seq := s.reserve(arrive)
+	l.enqueue(inflight{at: at, seq: seq, pkt: p})
+	if l.count == 1 {
+		s.push(event{at: at, seq: seq, src: l})
+	} else {
+		s.behind++
+	}
 }
 
 // Node is a router/host. It forwards packets by destination name, decrements

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -60,6 +61,75 @@ func TestRunUntil(t *testing.T) {
 	}
 	if s.Pending() != 2 {
 		t.Errorf("pending = %d, want 2", s.Pending())
+	}
+}
+
+func TestPendingCountsInFlightAndTimers(t *testing.T) {
+	s := NewSim(1)
+	c := &collector{}
+	l := &Link{RateBps: 8e6, Delay: 5 * time.Millisecond, Dst: c} // 1ms per packet
+	for i := 0; i < 4; i++ {
+		l.Send(s, &Packet{Size: 1000}) // arrive at 6, 7, 8, 9ms
+	}
+	fired := 0
+	tm := s.NewTimer(func() { fired++ })
+	tm.Arm(10 * time.Millisecond)
+	tm.Arm(20 * time.Millisecond) // later: the queued carrier is reused
+	tm.Arm(2 * time.Millisecond)  // earlier: that carrier is orphaned
+	s.ScheduleSeries(3, time.Millisecond, func() {})
+	// 4 packets, 1 timer expiry and 3 series calls.
+	if got := s.Pending(); got != 8 {
+		t.Fatalf("pending = %d, want 8", got)
+	}
+	s.RunUntil(7 * time.Millisecond)
+	// Left: 2 packets; the timer fired at 2ms.
+	if got := s.Pending(); got != 2 || fired != 1 {
+		t.Fatalf("pending = %d fired = %d, want 2 and 1", got, fired)
+	}
+	tm.Arm(time.Millisecond)
+	tm.Stop()
+	if got := s.Pending(); got != 2 {
+		t.Fatalf("pending after Stop = %d, want 2", got)
+	}
+	s.Run()
+	if got := s.Pending(); got != 0 || len(c.pkts) != 4 || fired != 1 {
+		t.Fatalf("pending = %d delivered = %d fired = %d, want 0, 4, 1", got, len(c.pkts), fired)
+	}
+}
+
+func TestTimerRearm(t *testing.T) {
+	s := NewSim(1)
+	var at []Time
+	tm := s.NewTimer(func() { at = append(at, s.Now()) })
+	tm.Arm(5 * time.Millisecond)
+	tm.Arm(8 * time.Millisecond)
+	s.RunUntil(6 * time.Millisecond)
+	if len(at) != 0 {
+		t.Fatalf("timer fired at its superseded deadline: %v", at)
+	}
+	tm.Arm(-time.Second) // clamped to now
+	s.Run()
+	if len(at) != 1 || at[0] != 6*time.Millisecond {
+		t.Fatalf("fired at %v, want [6ms]", at)
+	}
+	tm.Arm(time.Millisecond)
+	tm.Stop()
+	s.Run()
+	if len(at) != 1 {
+		t.Fatalf("stopped timer fired: %v", at)
+	}
+}
+
+func TestScheduleSeries(t *testing.T) {
+	s := NewSim(1)
+	var got []string
+	s.ScheduleSeries(4, 3*time.Millisecond, func() { got = append(got, "a@"+s.Now().String()) })
+	s.ScheduleSeries(0, time.Millisecond, func() { t.Error("empty series ran") })
+	s.ScheduleSeries(2, -time.Millisecond, func() { got = append(got, "b@"+s.Now().String()) })
+	s.Run()
+	want := "[a@0s b@0s b@0s a@3ms a@6ms a@9ms]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("calls %v, want %s", got, want)
 	}
 }
 
